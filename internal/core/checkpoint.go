@@ -37,34 +37,17 @@ type crKey struct {
 	src  int
 }
 
-// crStore returns the shared file namespace for this transfer's matching
-// context (both sides of a Baseline intercomm see the same one).
-func crStoreFor(c *mpi.Ctx, v *view) *crFiles {
-	w := c.World()
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if crNamespaces == nil {
-		crNamespaces = map[*mpi.World]map[int]*crFiles{}
-	}
-	per := crNamespaces[w]
-	if per == nil {
-		per = map[int]*crFiles{}
-		crNamespaces[w] = per
-	}
-	id := v.comm.CtxID()
-	f := per[id]
-	if f == nil {
-		f = &crFiles{blocks: map[crKey]mpi.Payload{}, complete: map[int]bool{}}
-		per[id] = f
-	}
-	return f
-}
+// crFilesAttr is the Comm.Attr key of a matching context's crFiles.
+type crFilesAttr struct{}
 
-// crNamespaces keys file tables by world then matching context. The
-// simulation is single-threaded per kernel; worlds are short-lived, so the
-// map is cleaned up by garbage collection with them... entries are removed
-// when a transfer completes its read phase.
-var crNamespaces map[*mpi.World]map[int]*crFiles
+// crStoreFor returns the shared file namespace for this transfer's matching
+// context (both sides of a Baseline intercomm see the same one). It is
+// cached on the communicator, so it lives and dies with the world.
+func crStoreFor(v *view) *crFiles {
+	return v.comm.Attr(crFilesAttr{}, func() any {
+		return &crFiles{blocks: map[crKey]mpi.Payload{}, complete: map[int]bool{}}
+	}).(*crFiles)
+}
 
 func newCRTransfer(v *view, items []Item) *crTransfer {
 	requireItems(items, "checkpoint-restart")
@@ -78,7 +61,7 @@ func (t *crTransfer) runBlockingAll(c *mpi.Ctx) {
 	if fs == nil {
 		panic("core: checkpoint/restart needs a filesystem (cluster.Config.FSBandwidth)")
 	}
-	t.files = crStoreFor(c, t.v)
+	t.files = crStoreFor(t.v)
 
 	// Checkpoint phase: every source streams its blocks to disk.
 	if t.v.isSource() {
@@ -140,8 +123,3 @@ func (t *crTransfer) progress(c *mpi.Ctx) bool {
 func (t *crTransfer) drain(c *mpi.Ctx) {
 	panic("core: checkpoint/restart cannot overlap execution; use Overlap = Sync")
 }
-
-type crXfer struct{ *crTransfer }
-
-func (x crXfer) runBlockingAll(c *mpi.Ctx) { x.crTransfer.runBlockingAll(c) }
-func (x crXfer) drain(c *mpi.Ctx)          { x.crTransfer.drain(c) }

@@ -309,13 +309,13 @@ func (t *p2pTransfer) progress(c *mpi.Ctx) bool {
 	return done
 }
 
-// run drives the pass to completion, blocking per Algorithm 1: a
-// Waitany-driven receive loop, then MPI_Waitall on the sends. The wave
+// runBlockingAll drives the pass to completion, blocking per Algorithm 1:
+// a Waitany-driven receive loop, then MPI_Waitall on the sends. The wave
 // schedule adds the active wave's sends to the wait set, so a rank blocked
 // on receives still releases its next wave the moment the current one
 // completes — without that, two ranks could park on each other's
 // still-unissued waves.
-func (t *p2pTransfer) run(c *mpi.Ctx) {
+func (t *p2pTransfer) runBlockingAll(c *mpi.Ctx) {
 	t.start(c)
 	if t.waved() {
 		t.runWaves(c)
@@ -334,6 +334,10 @@ func (t *p2pTransfer) run(c *mpi.Ctx) {
 	}
 	c.Waitall(t.sendReqs)
 }
+
+// drain completes the pass from wherever progress left it: the blocking
+// loop skips receives progress already handled.
+func (t *p2pTransfer) drain(c *mpi.Ctx) { t.runBlockingAll(c) }
 
 // runWaves is the blocking loop of the wave schedule.
 func (t *p2pTransfer) runWaves(c *mpi.Ctx) {

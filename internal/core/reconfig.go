@@ -52,7 +52,8 @@ func recordPhaseSpan(c *mpi.Ctx, phase string, start float64) {
 // for Merge), and store holds the redistributed items.
 type TargetFunc func(ctx *mpi.Ctx, newComm *mpi.Comm, store *Store)
 
-// xfer abstracts one redistribution pass (P2P or COL) over some items.
+// xfer abstracts one redistribution pass (P2P, COL, RMA or CR) over some
+// items.
 type xfer interface {
 	// runBlockingAll drives the pass to completion with blocking semantics.
 	runBlockingAll(c *mpi.Ctx)
@@ -61,16 +62,6 @@ type xfer interface {
 	// drain completes the pass from wherever progress left off.
 	drain(c *mpi.Ctx)
 }
-
-type p2pXfer struct{ *p2pTransfer }
-
-func (x p2pXfer) runBlockingAll(c *mpi.Ctx) { x.run(c) }
-func (x p2pXfer) drain(c *mpi.Ctx)          { x.run(c) }
-
-type colXfer struct{ *colTransfer }
-
-func (x colXfer) runBlockingAll(c *mpi.Ctx) { x.runBlocking(c) }
-func (x colXfer) drain(c *mpi.Ctx)          { x.runNonBlockingToCompletion(c) }
 
 // newXfer builds a redistribution pass for the given items. cfg.Comm
 // selects the algorithm family (pairwise inter-communicator collectives vs
@@ -83,15 +74,15 @@ func newXfer(cfg Config, v *view, items []Item, tagIdx []int) xfer {
 	case P2P:
 		x := newP2PTransfer(v, items, tagIdx)
 		x.ceiling = cfg.MemCeiling
-		return p2pXfer{x}
+		return x
 	case RMA:
 		x := newRMATransfer(v, items)
 		x.ceiling = cfg.MemCeiling
-		return rmaXfer{x}
+		return x
 	case CR:
-		return crXfer{newCRTransfer(v, items)}
+		return newCRTransfer(v, items)
 	default:
-		return colXfer{newCOLTransfer(v, items)}
+		return newCOLTransfer(v, items)
 	}
 }
 
@@ -219,10 +210,13 @@ func StartReconfigRes(c *mpi.Ctx, cfg Config, appComm *mpi.Comm, nt int,
 	if cfg.Asynchronous() {
 		// Stage 2 runs on an auxiliary thread so iterations continue; for
 		// the Thread strategy the same thread then performs the blocking
-		// redistribution of constant data (Algorithm 4).
+		// redistribution of constant data (Algorithm 4). The thread spawns
+		// over a duplicate: the main thread keeps running collectives on
+		// appComm, and MPI orders collectives per communicator.
+		spawnComm := appComm.Dup(c)
 		c.NewThread("reconfig", func(t *mpi.Ctx) {
 			withPhase(t, trace.PhaseSpawn, func() {
-				r.stage2(t, makeStore, target)
+				r.stage2(t, spawnComm, makeStore, target)
 			})
 			r.viewReady = true
 			r.state.Broadcast()
@@ -238,17 +232,17 @@ func StartReconfigRes(c *mpi.Ctx, cfg Config, appComm *mpi.Comm, nt int,
 		})
 	} else {
 		withPhase(c, trace.PhaseSpawn, func() {
-			r.stage2(c, makeStore, target)
+			r.stage2(c, appComm, makeStore, target)
 		})
 		r.viewReady = true
 	}
 	return r
 }
 
-// stage2 performs process management: spawn for Baseline, spawn+merge for
-// Merge expansion, nothing for Merge shrinkage. It also prepares the view
-// the redistribution runs over.
-func (r *Reconfig) stage2(c *mpi.Ctx, makeStore func() *Store, target TargetFunc) {
+// stage2 performs process management: spawn over the sources' group comm
+// for Baseline, spawn+merge for Merge expansion, nothing for Merge
+// shrinkage. It also prepares the view the redistribution runs over.
+func (r *Reconfig) stage2(c *mpi.Ctx, comm *mpi.Comm, makeStore func() *Store, target TargetFunc) {
 	cfg := r.cfg
 	machine := c.World().Machine()
 	switch cfg.Spawn {
@@ -263,7 +257,7 @@ func (r *Reconfig) stage2(c *mpi.Ctx, makeStore func() *Store, target TargetFunc
 			childWorld.FastBarrier(child)
 			target(child, childWorld, st)
 		}
-		inter := c.SpawnWithRetry(r.appComm, r.nt,
+		inter := c.SpawnWithRetry(comm, r.nt,
 			func(t int) int { return machine.NodeOf(t) }, childMain, r.spawnRetry())
 		r.v = newInterView(c, inter, r.ns, r.nt, true)
 
@@ -280,7 +274,7 @@ func (r *Reconfig) stage2(c *mpi.Ctx, makeStore func() *Store, target TargetFunc
 				target(child, joint, st)
 			}
 			// Child i becomes target rank NS+i.
-			inter := c.SpawnWithRetry(r.appComm, r.nt-r.ns,
+			inter := c.SpawnWithRetry(comm, r.nt-r.ns,
 				func(i int) int { return machine.NodeOf(r.ns + i) }, childMain, r.spawnRetry())
 			r.joint = inter.Merge(c, false)
 		} else {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -195,9 +194,9 @@ func recoveryTag(round, itemIdx, chunk int) int {
 
 // epochState is the shared coordination block of one resilient pass: soft
 // barriers (arrival sets keyed by label), per-round abort flags, the chunk
-// acknowledgement map, and the recovery ladder's agreed rung. Like
-// crNamespaces it is keyed by world and matching context; the simulation is
-// single-threaded per kernel.
+// acknowledgement map, and the recovery ladder's agreed rung. It is cached
+// on the pass's matching context (Comm.Attr), so it lives and dies with the
+// world; the simulation is single-threaded per kernel.
 type epochState struct {
 	arrived map[string]*softBarrier
 	abort   map[int]bool
@@ -215,35 +214,16 @@ type epochState struct {
 	escalated map[int]bool
 }
 
-var epochStates map[*mpi.World]map[int]*epochState
+// epochAttr is the Comm.Attr key of a pass's epochState.
+type epochAttr struct{}
 
-// registryMu guards the cross-world registries (crNamespaces, epochStates):
-// the parallel sweep engine simulates many worlds at once, and while each
-// world stays single-threaded under its kernel, the registry maps are
-// shared by all of them. The *crFiles/*epochState values themselves remain
-// lock-free — only the owning world's kernel touches them.
-var registryMu sync.Mutex
-
-func epochStateFor(w *mpi.World, ctxID int) *epochState {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if epochStates == nil {
-		epochStates = map[*mpi.World]map[int]*epochState{}
-	}
-	per := epochStates[w]
-	if per == nil {
-		per = map[int]*epochState{}
-		epochStates[w] = per
-	}
-	st := per[ctxID]
-	if st == nil {
-		st = &epochState{
+func epochStateFor(comm *mpi.Comm) *epochState {
+	return comm.Attr(epochAttr{}, func() any {
+		return &epochState{
 			arrived: map[string]*softBarrier{}, abort: map[int]bool{},
 			acks: newAckTracker(), rung: -1, escalated: map[int]bool{},
 		}
-		per[ctxID] = st
-	}
-	return st
+	}).(*epochState)
 }
 
 // recordFault emits one instantaneous EvFault event for this rank.
@@ -337,9 +317,9 @@ func runResilientPass(c *mpi.Ctx, cfg Config, v *view, items []Item, tagIdx []in
 	rp := &resilientPass{
 		cfg: cfg, v: v, items: items, tagIdx: tagIdx, res: res,
 		recordSpans: recordSpans,
-		st:          epochStateFor(c.World(), v.comm.CtxID()),
+		st:          epochStateFor(v.comm),
 		parts:       passParticipants(v),
-		files:       crStoreFor(c, v),
+		files:       crStoreFor(v),
 		rtt:         &RTTEstimator{},
 		prepared:    map[int]bool{},
 	}

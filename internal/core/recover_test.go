@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -213,4 +215,45 @@ func TestResilienceRequiresDetector(t *testing.T) {
 			func() *Store { return emptyStore(100) }, nil, &Resilience{})
 	})
 	_ = w.Kernel().Run()
+}
+
+// TestDroppedWorldIsCollected: the state a resilient pass keeps per
+// communicator — its epoch block and its protect-checkpoint files — is
+// cached on the world, so dropping the world releases it. A process-global
+// registry keyed by world would keep every world that ever ran a pass
+// reachable for the life of the process.
+func TestDroppedWorldIsCollected(t *testing.T) {
+	const ns, nt, n = 4, 2, 1000
+	collected := make(chan string, 2)
+	func() {
+		w := testWorld(t)
+		res := &Resilience{Detector: newStubDetector(w)}
+		var v *view
+		w.Launch(ns, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
+			st := buildStore(n, ns, comm.Rank(c))
+			r := StartReconfigRes(c, Config{Spawn: Merge, Comm: P2P, Overlap: Sync}, comm, nt, st,
+				func() *Store { return emptyStore(n) }, nil, res)
+			r.Wait(c)
+			if comm.Rank(c) == 0 {
+				v = r.v
+			}
+		})
+		if err := w.Kernel().Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(epochStateFor(v.comm), func(*epochState) { collected <- "epoch state" })
+		runtime.SetFinalizer(crStoreFor(v), func(*crFiles) { collected <- "checkpoint files" })
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of 2 per-communicator pass states collected after the world was dropped", got)
+			}
+		}
+	}
 }

@@ -410,12 +410,6 @@ func rmaRequests(gets []*mpi.RMAReq) []mpi.Request {
 	return out
 }
 
-// rmaXfer adapts rmaTransfer to the xfer interface.
-type rmaXfer struct{ *rmaTransfer }
-
-func (x rmaXfer) runBlockingAll(c *mpi.Ctx) { x.rmaTransfer.runBlockingAll(c) }
-func (x rmaXfer) drain(c *mpi.Ctx)          { x.rmaTransfer.drain(c) }
-
 // rmaRecoveryRound is the selective recovery path of the one-sided method
 // (rungs 0 and 2); rung 3's full checkpoint restore reuses the generic
 // comm-agnostic path.
@@ -470,7 +464,7 @@ func (rp *resilientPass) rmaRecoveryRound(c *mpi.Ctx, round int, failedAtPlan ma
 			}
 			wins[i] = c.WinCreate(v.comm, exp)
 		}
-	} else if rx, ok := rp.x.(rmaXfer); ok {
+	} else if rx, ok := rp.x.(*rmaTransfer); ok {
 		wins = rx.wins
 	}
 

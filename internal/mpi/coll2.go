@@ -81,11 +81,11 @@ func (c *Ctx) Split(comm *Comm, color, key int) *Comm {
 	r := comm.Rank(c)
 	st.entries = append(st.entries, splitEntry{rank: r, color: color, key: key})
 	// Rendezvous: the last arriver builds all result communicators.
-	w.barrierFor(comm).arrive(c)
+	w.barrierFor(comm).arrive(c, "Split")
 	if st.result == nil {
 		st.build(comm)
 	}
-	w.barrierFor(comm).arrive(c) // results visible to all
+	w.barrierFor(comm).arrive(c, "Split") // results visible to all
 	out := st.result[r]
 	st.claimed++
 	if st.claimed == comm.Size() {

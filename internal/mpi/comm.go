@@ -159,6 +159,33 @@ func (c *Comm) derived(ctx *Ctx, kind string, build func() *Comm) *Comm {
 	return d
 }
 
+// attrKey names one cached attribute of a matching context.
+type attrKey struct {
+	ctxID int
+	key   any
+}
+
+// Attr returns the value cached on the communicator's matching context
+// under key, storing mk() there on first use: MPI's attribute caching
+// (MPI_Comm_set_attr/MPI_Comm_get_attr). Both views of an
+// inter-communicator share one context and so one set of attributes.
+// Values live exactly as long as the World, so state a layer above keeps
+// per communicator is reclaimed with the world that owns it. key must be
+// comparable; an unexported type per use keeps packages from colliding.
+func (c *Comm) Attr(key any, mk func() any) any {
+	w := c.w
+	if w.attrs == nil {
+		w.attrs = make(map[attrKey]any)
+	}
+	k := attrKey{ctxID: c.ctxID, key: key}
+	v, ok := w.attrs[k]
+	if !ok {
+		v = mk()
+		w.attrs[k] = v
+	}
+	return v
+}
+
 // Dup returns an intra-communicator with the same group but a fresh
 // matching context, so traffic on the duplicate can never match receives on
 // the original. The paper requires this separation between application and
@@ -194,69 +221,37 @@ func (c *Comm) Sub(ctx *Ctx, ranks []int) *Comm {
 // c: both groups of an inter-communicator, the single group otherwise.
 func (c *Comm) groupSpan() int { return len(c.local) + len(c.remote) }
 
-// barrierFor returns the shared fast barrier of c's matching context.
-func (w *World) barrierFor(c *Comm) *fastBarrier {
-	if w.barriers == nil {
-		w.barriers = make(map[int]*fastBarrier)
-	}
-	b, ok := w.barriers[c.ctxID]
-	if !ok {
-		b = &fastBarrier{size: c.groupSpan(), sig: newNamedSignal(c, "fastbarrier")}
-		w.barriers[c.ctxID] = b
-	}
-	return b
-}
-
-// FastBarrier synchronizes every member of the communicator (both groups on
-// an inter-communicator) at zero simulated cost. Exactly one context per
-// process must participate per generation. It is the emulation shortcut for
-// stages where the synthetic application only needs ranks aligned; use
-// Barrier for a cost-bearing synchronization.
+// FastBarrier synchronizes every live member of the communicator (both
+// groups on an inter-communicator) at zero simulated cost; dead members are
+// excused. Exactly one context per process must participate per generation.
+// It is the emulation shortcut for stages where the synthetic application
+// only needs ranks aligned; use Barrier for a cost-bearing synchronization.
 func (c *Comm) FastBarrier(ctx *Ctx) {
 	defer ctx.span(trace.EvBarrier, c.ctxID, "FastBarrier", 0)()
-	c.w.barrierFor(c).arrive(ctx)
-}
-
-// mergeSt carries the rendezvous state for one Merge call.
-type mergeSt struct {
-	result *Comm
-	done   *fastBarrier
+	c.w.barrierFor(c).arrive(ctx, "FastBarrier")
 }
 
 // Merge collapses an inter-communicator into an intra-communicator
 // (MPI_Intercomm_merge). Every process of both groups must call it on its
-// own view; the side calling with high=false gets the low ranks. Merge may
-// be invoked once per inter-communicator.
+// own view; the side calling with high=false gets the low ranks. The call
+// synchronizes every live participant before anyone uses the merged comm.
 func (c *Comm) Merge(ctx *Ctx, high bool) *Comm {
 	if c.remote == nil {
 		panic("mpi: Merge on intra-communicator")
 	}
-	w := c.w
-	if w.merges == nil {
-		w.merges = make(map[int]*mergeSt)
-	}
-	st, ok := w.merges[c.ctxID]
-	if !ok {
-		st = &mergeSt{
-			done: &fastBarrier{size: c.groupSpan(), sig: newNamedSignal(c, "merge")},
-		}
-		w.merges[c.ctxID] = st
-	}
-	if st.result == nil {
+	merged := c.derived(ctx, "merge", func() *Comm {
 		// The first caller fixes the ordering: its own group is low when it
 		// passes high=false. MPI requires the two sides to pass
 		// complementary values, so one caller's view suffices.
-		callerG, otherG := c.local, c.remote
-		low, hi := callerG, otherG
+		low, hi := c.local, c.remote
 		if high {
-			low, hi = otherG, callerG
+			low, hi = hi, low
 		}
-		merged := make([]*Process, 0, len(low)+len(hi))
-		merged = append(merged, low...)
-		merged = append(merged, hi...)
-		st.result = w.newComm(merged, nil)
-	}
-	// Synchronize all participants before anyone uses the merged comm.
-	st.done.arrive(ctx)
-	return st.result
+		procs := make([]*Process, 0, len(low)+len(hi))
+		procs = append(procs, low...)
+		procs = append(procs, hi...)
+		return c.w.newComm(procs, nil)
+	})
+	c.w.barrierFor(c).arrive(ctx, "Merge")
+	return merged
 }

@@ -26,69 +26,6 @@ type Win struct {
 	drained map[int]*sim.Signal
 }
 
-// winBarrier synchronizes window epochs (WinCreate, Fence). Unlike the
-// counter-based fastBarrier it tracks per-member arrivals, which buys two
-// fault properties: a crashed member is excused instead of wedging every
-// survivor forever, and a waiter carries a reason naming the operation,
-// the communicator, and the member it is waiting for — so a genuine wedge
-// surfaces in DeadlockError reports with the same diagnostic quality the
-// point-to-point Wait path gives.
-type winBarrier struct {
-	members  []*Process
-	arrivals map[int]int // gid -> completed arrivals
-	sig      *sim.Signal
-}
-
-// winBarrierFor returns the window-epoch barrier shared by all windows and
-// fences on comm's matching context.
-func (w *World) winBarrierFor(comm *Comm) *winBarrier {
-	if w.winBarriers == nil {
-		w.winBarriers = make(map[int]*winBarrier)
-	}
-	b, ok := w.winBarriers[comm.ctxID]
-	if !ok {
-		members := make([]*Process, 0, comm.groupSpan())
-		members = append(members, comm.local...)
-		members = append(members, comm.remote...)
-		b = &winBarrier{
-			members:  members,
-			arrivals: make(map[int]int, len(members)),
-			sig:      newNamedSignal(comm, "winbarrier"),
-		}
-		w.winBarriers[comm.ctxID] = b
-	}
-	return b
-}
-
-// arrive completes this context's generation of the barrier: it returns
-// once every member has arrived at least as often — or died. op names the
-// epoch operation for deadlock reports.
-func (b *winBarrier) arrive(c *Ctx, op string, comm *Comm) {
-	gid := c.proc.gid
-	gen := b.arrivals[gid]
-	b.arrivals[gid]++
-	b.sig.Broadcast()
-	straggler := func() *Process {
-		for _, m := range b.members {
-			if m.gid == gid || m.dead {
-				continue
-			}
-			if b.arrivals[m.gid] <= gen {
-				return m
-			}
-		}
-		return nil
-	}
-	for {
-		m := straggler()
-		if m == nil {
-			return
-		}
-		c.sp.WaitReason(b.sig,
-			fmt.Sprintf("mpi: %s on comm %d: waiting for g%d", op, comm.ctxID, m.gid))
-	}
-}
-
 // WinCreate collectively creates a window over comm, exposing this
 // process's local payload. Every member (both groups of an
 // inter-communicator) must call it; the call synchronizes, so once it
@@ -115,7 +52,7 @@ func (c *Ctx) WinCreate(comm *Comm, local Payload) *Win {
 	win.exposed[gid] = clonePayload(local)
 	win.nodeOf[gid] = c.proc.node
 	// Exposure epoch: every live member registers before anyone accesses.
-	w.winBarrierFor(comm).arrive(c, "WinCreate", comm)
+	w.barrierFor(comm).arrive(c, "WinCreate")
 	return win
 }
 
@@ -242,8 +179,9 @@ func (c *Ctx) WaitDrained(win *Win) {
 			s = sim.NewSignal(fmt.Sprintf("mpi.win.drained.g%d", gid))
 			win.drained[gid] = s
 		}
-		c.sp.WaitReason(s,
-			fmt.Sprintf("mpi: WaitDrained on comm %d: %d Gets outstanding", win.comm.ctxID, win.pending[gid]))
+		c.sp.WaitReason(s, func() string {
+			return fmt.Sprintf("mpi: WaitDrained on comm %d: %d Gets outstanding", win.comm.ctxID, win.pending[gid])
+		})
 	}
 }
 
@@ -251,7 +189,7 @@ func (c *Ctx) WaitDrained(win *Win) {
 // MPI_Win_fence). All members must call it; crashed members are excused.
 func (c *Ctx) Fence(win *Win) {
 	defer c.span(trace.EvBarrier, win.comm.ctxID, "Fence", 0)()
-	win.comm.w.winBarrierFor(win.comm).arrive(c, "Fence", win.comm)
+	win.comm.w.barrierFor(win.comm).arrive(c, "Fence")
 }
 
 // peerProcFor resolves peer rank r from the calling context's view of the

@@ -127,7 +127,7 @@ func TestCrashedOriginReleasesPending(t *testing.T) {
 // TestCrashedExposerSnapshotServes: per MPI semantics the window exposure
 // is a snapshot, so a Get issued after the exposer crashed still delivers
 // the data — and the closing Fence resolves for the survivor because the
-// window barrier excuses dead members.
+// communicator's barrier excuses dead members.
 func TestCrashedExposerSnapshotServes(t *testing.T) {
 	w := testWorld(t, 2, 4, defaultTestOptions())
 	want := []float64{4, 5}

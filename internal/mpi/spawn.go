@@ -7,13 +7,6 @@ import (
 	"repro/internal/trace"
 )
 
-// spawnSt is the rendezvous state for one collective Spawn on a comm.
-type spawnSt struct {
-	parentView *Comm
-	done       *fastBarrier
-	arrived    int
-}
-
 // SpawnRetry is the retry policy for injected spawn failures. The zero
 // value reproduces the plain Spawn behavior: unlimited immediate retries,
 // each paying the spawn cost again, with no extra trace events. A non-zero
@@ -90,16 +83,10 @@ func (c *Ctx) SpawnWithRetry(comm *Comm, n int, nodeOf func(childRank int) int,
 	if nodeOf == nil {
 		nodeOf = w.machine.NodeOf
 	}
-	if w.spawns == nil {
-		w.spawns = make(map[int]*spawnSt)
+	if w.derived == nil {
+		w.derived = make(map[derivedKey]*Comm)
 	}
-	st, ok := w.spawns[comm.ctxID]
-	if !ok {
-		st = &spawnSt{
-			done: &fastBarrier{size: comm.Size(), sig: newNamedSignal(comm, "spawn")},
-		}
-		w.spawns[comm.ctxID] = st
-	}
+	key := derivedKey{ctxID: comm.ctxID, kind: "spawn", gen: comm.derivedGen(c, "spawn")}
 
 	if me == 0 {
 		// Injected spawn failures: each failed attempt pays the spawn cost
@@ -142,7 +129,7 @@ func (c *Ctx) SpawnWithRetry(comm *Comm, n int, nodeOf func(childRank int) int,
 			children[i] = w.newProcess(nodeOf(i))
 		}
 		parentView, childView := w.newInterComm(comm.local, children)
-		st.parentView = parentView
+		w.derived[key] = parentView
 		childWorld := w.newComm(children, nil)
 		for i, p := range children {
 			p := p
@@ -152,10 +139,11 @@ func (c *Ctx) SpawnWithRetry(comm *Comm, n int, nodeOf func(childRank int) int,
 			})
 		}
 	}
-	st.arrived++
-	if st.arrived == comm.Size() {
-		delete(w.spawns, comm.ctxID) // allow a later Spawn on the same comm
+	w.barrierFor(comm).arrive(c, "Spawn")
+	parentView := w.derived[key]
+	if parentView == nil {
+		// The barrier excused a root that died before spawning.
+		panic(fmt.Errorf("mpi: Spawn on comm %d: root g%d died before spawning", comm.ctxID, comm.local[0].gid))
 	}
-	st.done.arrive(c)
-	return st.parentView
+	return parentView
 }

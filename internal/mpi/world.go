@@ -94,13 +94,11 @@ type World struct {
 	nextCtxID int
 	nextGID   int
 
-	barriers    map[int]*fastBarrier    // shared per matching context
-	merges      map[int]*mergeSt        // pending Intercomm_merge rendezvous
-	spawns      map[int]*spawnSt        // pending Comm_spawn rendezvous
-	derived     map[derivedKey]*Comm    // communicators created by Dup/Sub
-	wins        map[derivedKey]*Win     // one-sided windows by creation site
-	winBarriers map[int]*winBarrier     // death-aware window-epoch barriers
-	splits      map[derivedKey]*splitSt // pending Comm_split rendezvous
+	barriers map[int]*barrier        // one rendezvous per matching context
+	derived  map[derivedKey]*Comm    // communicators created by Dup/Sub/Merge/Spawn
+	wins     map[derivedKey]*Win     // one-sided windows by creation site
+	splits   map[derivedKey]*splitSt // pending Comm_split rendezvous
+	attrs    map[attrKey]any         // attributes cached on matching contexts
 
 	procs map[int]*Process // every process ever created, by gid
 
@@ -289,19 +287,7 @@ func (w *World) KillProcess(gid int) {
 	}
 	p.outEnvs = nil
 	p.flowQueue = nil
-	// Window-epoch barriers excuse dead members: wake their waiters so the
-	// arrival predicate is re-evaluated. Sorted order keeps runs
-	// deterministic (map iteration would leak scheduling nondeterminism).
-	if len(w.winBarriers) > 0 {
-		ids := make([]int, 0, len(w.winBarriers))
-		for id := range w.winBarriers {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			w.winBarriers[id].sig.Broadcast()
-		}
-	}
+	w.excuseDead(p)
 }
 
 // WakeAll broadcasts every process's progress signal, giving every blocked
@@ -463,9 +449,9 @@ func (c *Ctx) waitUntil(pred func() bool) {
 	c.waitUntilDesc(pred, nil)
 }
 
-// waitUntilDesc blocks like waitUntil; when desc is non-nil it is
-// re-evaluated at every park so deadlock reports describe the operation
-// still pending rather than just the progress signal.
+// waitUntilDesc blocks like waitUntil; when desc is non-nil, deadlock
+// reports call it to describe the operation still pending rather than just
+// the progress signal. It is never called on a run that does not deadlock.
 func (c *Ctx) waitUntilDesc(pred func() bool, desc func() string) {
 	if pred() {
 		return
@@ -479,7 +465,7 @@ func (c *Ctx) waitUntilDesc(pred func() bool, desc func() string) {
 		if desc == nil {
 			c.sp.Wait(c.proc.progress)
 		} else {
-			c.sp.WaitReason(c.proc.progress, desc())
+			c.sp.WaitReason(c.proc.progress, desc)
 		}
 	}
 }
@@ -515,6 +501,7 @@ func (c *Ctx) WaitUntilDeadline(pred func() bool, reason string, deadline float6
 		load = c.cpu().AddLoad()
 		defer load.Stop()
 	}
+	desc := func() string { return reason }
 	for {
 		if pred() {
 			return true
@@ -522,6 +509,6 @@ func (c *Ctx) WaitUntilDeadline(pred func() bool, reason string, deadline float6
 		if expired || w.k.Now() >= deadline {
 			return pred()
 		}
-		c.sp.WaitReason(c.proc.progress, reason)
+		c.sp.WaitReason(c.proc.progress, desc)
 	}
 }

@@ -206,6 +206,46 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestWaitReasonIsLazy: a WaitReason description is formatted only when a
+// deadlock report is built — never on a run that drains, however often the
+// waiter parks.
+func TestWaitReasonIsLazy(t *testing.T) {
+	calls := 0
+	reason := func() string { calls++; return "waiting for the answer" }
+
+	k := NewKernel()
+	s := NewSignal("s")
+	k.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.WaitReason(s, reason)
+		}
+	})
+	k.Spawn("waker", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(1)
+			s.Broadcast()
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Fatalf("reason formatted %d times on a clean run, want 0", calls)
+	}
+
+	k = NewKernel()
+	k.Spawn("stuck", func(p *Proc) { p.WaitReason(NewSignal("never"), reason) })
+	k.Spawn("sleeper", func(p *Proc) { p.Sleep(1.5) })
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("Run() = %v, want *DeadlockError", err)
+	}
+	if calls != 1 || len(de.Blocked) != 1 || de.Blocked[0] != "stuck: waiting for the answer" {
+		t.Fatalf("Blocked = %v after %d formats, want the reason formatted once", de.Blocked, calls)
+	}
+}
+
 func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("boom", func(p *Proc) {

@@ -14,9 +14,32 @@ type Proc struct {
 	name   string
 	resume chan resumeMsg
 
-	blockReason string
-	started     bool
-	finished    bool
+	why      parkReason // why the process is parked; formatted only in deadlock reports
+	started  bool
+	finished bool
+}
+
+// parkReason records why a process is parked without formatting it: the
+// text is built only when Kernel.Run reports a deadlock, so a park on the
+// hot path costs no string work.
+type parkReason struct {
+	text  string        // verbatim, or a format for at when timed
+	timed bool          // text formats at
+	at    float64       // the duration or deadline of a timed park
+	sig   *Signal       // the signal of a plain Wait
+	desc  func() string // a caller's own lazy description
+}
+
+func (r *parkReason) String() string {
+	switch {
+	case r.desc != nil:
+		return r.desc()
+	case r.sig != nil:
+		return "waiting on signal " + r.sig.name
+	case r.timed:
+		return fmt.Sprintf(r.text, r.at)
+	}
+	return r.text
 }
 
 // procKilled is the panic value used to unwind a process goroutine during
@@ -88,16 +111,16 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now reports the current virtual time.
 func (p *Proc) Now() float64 { return p.k.now }
 
-// park blocks the process until another component unparks it. reason is
+// park blocks the process until another component unparks it. why is
 // surfaced in deadlock reports.
-func (p *Proc) park(reason string) {
+func (p *Proc) park(why parkReason) {
 	if p.k.current != p {
 		panic("sim: park called by a process that is not running")
 	}
-	p.blockReason = reason
+	p.why = why
 	p.k.yield <- yieldMsg{proc: p}
 	msg := <-p.resume
-	p.blockReason = ""
+	p.why = parkReason{}
 	if msg.kill {
 		panic(procKilled{})
 	}
@@ -140,7 +163,7 @@ func (p *Proc) Sleep(d float64) {
 		panic(fmt.Sprintf("sim: Sleep(%g) with negative duration", d))
 	}
 	p.k.After(d, p.unparkFn())
-	p.park(fmt.Sprintf("sleeping %.9gs", d))
+	p.park(parkReason{text: "sleeping %.9gs", timed: true, at: d})
 }
 
 // SleepUntil suspends the process until virtual time t. Times in the past
@@ -150,14 +173,14 @@ func (p *Proc) SleepUntil(t float64) {
 		t = p.k.now
 	}
 	p.k.At(t, p.unparkFn())
-	p.park(fmt.Sprintf("sleeping until %.9g", t))
+	p.park(parkReason{text: "sleeping until %.9g", timed: true, at: t})
 }
 
 // Yield reschedules the process behind all events already pending at the
 // current instant, giving other runnable processes a chance to run.
 func (p *Proc) Yield() {
 	p.k.At(p.k.now, p.unparkFn())
-	p.park("yielding")
+	p.park(parkReason{text: "yielding"})
 }
 
 func (p *Proc) unparkFn() func() {
@@ -183,15 +206,16 @@ func NewSignal(name string) *Signal { return &Signal{name: name} }
 // Wait blocks the process until the next Broadcast on s.
 func (p *Proc) Wait(s *Signal) {
 	s.waiters = append(s.waiters, p)
-	p.park("waiting on signal " + s.name)
+	p.park(parkReason{sig: s})
 }
 
-// WaitReason blocks like Wait but surfaces reason (instead of the signal
+// WaitReason blocks like Wait but surfaces reason() (instead of the signal
 // name) in deadlock reports, so callers can describe the operation they are
-// actually blocked on.
-func (p *Proc) WaitReason(s *Signal, reason string) {
+// actually blocked on. reason is called only if the run deadlocks while the
+// process is parked here, so it may describe live state at that moment.
+func (p *Proc) WaitReason(s *Signal, reason func() string) {
 	s.waiters = append(s.waiters, p)
-	p.park(reason)
+	p.park(parkReason{desc: reason})
 }
 
 // Broadcast wakes every process currently waiting on s. The waiters resume
