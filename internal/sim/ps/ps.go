@@ -10,12 +10,21 @@
 // This is the mechanism that reproduces oversubscription: 40 runnable
 // contexts on a 20-core node each progress at half speed, exactly the effect
 // the paper attributes to Baseline reconfigurations and polling waits.
+//
+// Every attached task receives service at the same rate, so one virtual
+// service clock describes them all: it counts the service each attached
+// task has received, and a finite task finishes when the clock reaches its
+// finish tag (the clock at its start plus its work). Finite tasks wait in a
+// min-heap on their tags; load tasks are only counted. A change in the
+// number of tasks costs O(1) plus a timer re-arm, and starting, stopping or
+// completing a finite task costs O(log n).
 package ps
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -25,10 +34,13 @@ import (
 type Resource struct {
 	k        *sim.Kernel
 	name     string
+	signal   string  // name of the signal Use waits on
 	capacity float64 // total service rate (e.g. cores)
 	perTask  float64 // max rate of one task (e.g. 1.0 core); 0 means no cap
 
-	tasks      map[*Task]struct{}
+	n          int      // attached tasks, finite and load
+	vtime      float64  // service each attached task received since the last rebase
+	tags       taskHeap // finite tasks, earliest finish tag first
 	lastUpdate float64
 	timer      *sim.Timer
 	nextSeq    uint64
@@ -39,8 +51,9 @@ type Resource struct {
 type Task struct {
 	r         *Resource
 	seq       uint64
-	remaining float64
-	infinite  bool
+	tag       float64 // vtime at which a finite task's work is served
+	index     int     // position in r.tags; -1 for a load or detached task
+	remaining float64 // unserved work, frozen when a finite task detaches
 	done      func()
 	stopped   bool
 }
@@ -54,9 +67,9 @@ func NewResource(k *sim.Kernel, name string, capacity, perTask float64) *Resourc
 	return &Resource{
 		k:        k,
 		name:     name,
+		signal:   "ps:" + name,
 		capacity: capacity,
 		perTask:  perTask,
-		tasks:    make(map[*Task]struct{}),
 	}
 }
 
@@ -67,10 +80,10 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Capacity() float64 { return r.capacity }
 
 // Load reports the number of attached tasks (finite and load tasks).
-func (r *Resource) Load() int { return len(r.tasks) }
+func (r *Resource) Load() int { return r.n }
 
 // Rate reports the current service rate of each task.
-func (r *Resource) Rate() float64 { return r.rate(len(r.tasks)) }
+func (r *Resource) Rate() float64 { return r.rate(r.n) }
 
 func (r *Resource) rate(n int) float64 {
 	if n == 0 {
@@ -83,24 +96,25 @@ func (r *Resource) rate(n int) float64 {
 	return rate
 }
 
-// advance applies the service received since lastUpdate to all finite tasks.
+// advance moves the service clock to now. With no finite task holding a
+// tag the clock rebases to 0, so tag - vtime keeps its precision however
+// much service the resource has delivered.
 func (r *Resource) advance() {
 	now := r.k.Now()
 	elapsed := now - r.lastUpdate
 	r.lastUpdate = now
-	if elapsed <= 0 || len(r.tasks) == 0 {
+	if len(r.tags) == 0 {
+		r.vtime = 0
 		return
 	}
-	served := r.Rate() * elapsed
-	for t := range r.tasks {
-		if t.infinite {
-			continue
-		}
-		t.remaining -= served
-		if t.remaining < 0 {
-			t.remaining = 0
-		}
+	if elapsed > 0 {
+		r.vtime += r.Rate() * elapsed
 	}
+}
+
+// residue is the unserved work of a finite task as of the last advance.
+func (r *Resource) residue(t *Task) float64 {
+	return max(t.tag-r.vtime, 0)
 }
 
 // reschedule arms the completion timer for the earliest finishing task.
@@ -109,25 +123,20 @@ func (r *Resource) reschedule() {
 		r.timer.Cancel()
 		r.timer = nil
 	}
-	rate := r.Rate()
-	if rate <= 0 {
+	if len(r.tags) == 0 {
 		return
 	}
-	earliest := math.Inf(1)
-	any := false
-	for t := range r.tasks {
-		if t.infinite {
-			continue
-		}
-		any = true
-		if dt := t.remaining / rate; dt < earliest {
-			earliest = dt
-		}
+	r.timer = r.k.After(r.residue(r.tags[0])/r.Rate(), r.onCompletion)
+}
+
+// detach removes t from the resource, freezing a finite task's residue.
+func (r *Resource) detach(t *Task) {
+	t.stopped = true
+	r.n--
+	if t.index >= 0 {
+		t.remaining = r.residue(t)
+		heap.Remove(&r.tags, t.index)
 	}
-	if !any {
-		return
-	}
-	r.timer = r.k.After(earliest, r.onCompletion)
 }
 
 func (r *Resource) onCompletion() {
@@ -138,24 +147,20 @@ func (r *Resource) onCompletion() {
 	const eps = 1e-12
 	now := r.k.Now()
 	rate := r.Rate()
-	for t := range r.tasks {
-		if t.infinite {
-			continue
-		}
+	for len(r.tags) > 0 {
+		t := r.tags[0]
 		// Done when the residue is negligible or when serving it cannot
 		// advance the clock (the completion event would re-fire at the same
 		// timestamp forever).
-		if t.remaining <= eps || (rate > 0 && now+t.remaining/rate == now) {
-			finished = append(finished, t)
+		if res := t.tag - r.vtime; res > eps && now+res/rate != now {
+			break
 		}
+		r.detach(t)
+		finished = append(finished, t)
 	}
-	// Map iteration order is random; completion callbacks must fire in a
-	// deterministic order for reproducible simulations.
-	sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
-	for _, t := range finished {
-		delete(r.tasks, t)
-		t.stopped = true
-	}
+	// Tags order the heap; callbacks fire in start order, as a
+	// reproducible simulation needs.
+	slices.SortFunc(finished, func(a, b *Task) int { return cmp.Compare(a.seq, b.seq) })
 	r.reschedule()
 	for _, t := range finished {
 		if t.done != nil {
@@ -171,18 +176,18 @@ func (r *Resource) Start(work float64, done func()) *Task {
 		panic(fmt.Sprintf("ps: negative work %g on %q", work, r.name))
 	}
 	r.advance()
-	t := &Task{r: r, seq: r.nextSeq, remaining: work, done: done}
+	t := &Task{r: r, seq: r.nextSeq, tag: r.vtime + work, done: done}
 	r.nextSeq++
-	r.tasks[t] = struct{}{}
+	r.n++
+	heap.Push(&r.tags, t)
 	r.reschedule()
 	if work == 0 {
 		// Zero work still goes through the queue-change cycle so a burst of
 		// zero-cost tasks is deterministic, but completes immediately.
 		r.k.After(0, func() {
 			if !t.stopped {
-				delete(r.tasks, t)
-				t.stopped = true
 				r.advance()
+				r.detach(t)
 				r.reschedule()
 				if t.done != nil {
 					t.done()
@@ -198,9 +203,9 @@ func (r *Resource) Start(work float64, done func()) *Task {
 // models a polling wait loop burning a core. Remove it with Stop.
 func (r *Resource) AddLoad() *Task {
 	r.advance()
-	t := &Task{r: r, seq: r.nextSeq, infinite: true}
+	t := &Task{r: r, seq: r.nextSeq, index: -1}
 	r.nextSeq++
-	r.tasks[t] = struct{}{}
+	r.n++
 	r.reschedule()
 	return t
 }
@@ -211,21 +216,60 @@ func (t *Task) Stop() bool {
 	if t.stopped {
 		return false
 	}
-	t.stopped = true
 	t.r.advance()
-	delete(t.r.tasks, t)
+	t.r.detach(t)
 	t.r.reschedule()
 	return true
 }
 
-// Remaining reports the unserved work of a finite task.
-func (t *Task) Remaining() float64 { return t.remaining }
+// Remaining reports the unserved work of a finite task as of the last
+// change on its resource.
+func (t *Task) Remaining() float64 {
+	if t.index < 0 {
+		return t.remaining
+	}
+	return t.r.residue(t)
+}
 
 // Use blocks the calling process until work units of service have been
 // delivered under processor sharing. It is the standard way for a simulated
 // computation to consume CPU.
 func (r *Resource) Use(p *sim.Proc, work float64) {
-	done := sim.NewSignal(fmt.Sprintf("ps:%s", r.name))
+	done := sim.NewSignal(r.signal)
 	r.Start(work, done.Broadcast)
 	p.Wait(done)
+}
+
+// taskHeap is a container/heap of finite tasks ordered by (tag, seq); each
+// task records its index so Stop can remove it in O(log n).
+type taskHeap []*Task
+
+func (h taskHeap) Len() int { return len(h) }
+
+func (h taskHeap) Less(i, j int) bool {
+	if h[i].tag != h[j].tag {
+		return h[i].tag < h[j].tag
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h taskHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+
+func (h *taskHeap) Push(x any) {
+	t := x.(*Task)
+	t.index = len(*h)
+	*h = append(*h, t)
+}
+
+func (h *taskHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	t.index = -1
+	*h = old[:len(old)-1]
+	return t
 }
